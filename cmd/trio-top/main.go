@@ -5,8 +5,8 @@
 // delegation activity, MMU checks, trust-boundary ring depths and
 // drain rate, the NVM write-back tier's dirty-page count, destage
 // rate and circuit-breaker state, and the trio-serve wire front-end's
-// connection count, RPC rate and in-flight depth — from registry
-// snapshot deltas.
+// connection count, RPC rate, in-flight depth, worker open-file-cache
+// hit rate and invalidation rate — from registry snapshot deltas.
 //
 // Usage:
 //
@@ -180,7 +180,8 @@ func main() {
 	// Serving traffic: the same LibFS is exported over the trio-serve
 	// wire protocol and a loopback client keeps a couple of requests
 	// pipelined against it, so the serve columns (conns, rpc/s, in
-	// flight) show a live front-end instead of zeros.
+	// flight, file-cache hits and invalidations) show a live front-end
+	// instead of zeros.
 	wsrv, err := serve.NewServer(fs, serve.Options{Workers: 2, MaxInflight: 8})
 	if err != nil {
 		fatal(err)
@@ -296,18 +297,22 @@ func main() {
 		csRate := func(v int64) float64 {
 			return float64(v) * 1000 / float64(secs)
 		}
+		fcHitPct := 0.0
+		if lookups := d.Get("serve.filecache_hits") + d.Get("serve.filecache_misses"); lookups > 0 {
+			fcHitPct = 100 * float64(d.Get("serve.filecache_hits")) / float64(lookups)
+		}
 		ts := ttr.Stats()
 		destaged := ts.Destaged
 		if tick%20 == 0 {
-			fmt.Printf("%10s %10s %9s %9s %10s %10s %10s %9s %10s %6s %6s %9s %9s %7s %7s %7s %7s %8s %6s %5s %7s %5s\n",
+			fmt.Printf("%10s %10s %9s %9s %10s %10s %10s %9s %10s %6s %6s %9s %9s %7s %7s %7s %7s %8s %6s %5s %7s %5s %7s %8s\n",
 				"read/s", "write/s", "rd p99ns", "wr p99ns",
 				"nvm wr/s", "persist/s", "alloc pg/s", "deleg/s", "mmu chk/s",
 				"sq-d", "cq-d", "drains/s",
 				"scrub/s", "detect", "repair", "quar",
 				"t-dirty", "destg/s", "brkr",
-				"conns", "rpc/s", "infl")
+				"conns", "rpc/s", "infl", "fc-hit%", "fc-inv/s")
 		}
-		fmt.Printf("%10.0f %10.0f %9d %9d %10.0f %10.0f %10.0f %9.0f %10.0f %6d %6d %9.0f %9.0f %7d %7d %7d %7d %8.0f %6s %5d %7.0f %5d\n",
+		fmt.Printf("%10.0f %10.0f %9d %9d %10.0f %10.0f %10.0f %9.0f %10.0f %6d %6d %9.0f %9.0f %7d %7d %7d %7d %8.0f %6s %5d %7.0f %5d %7.1f %8.0f\n",
 			rate("libfs.read_ops"), rate("libfs.write_ops"),
 			d.Hist("libfs.read_ns").Quantile(0.99),
 			d.Hist("libfs.write_ns").Quantile(0.99),
@@ -321,7 +326,8 @@ func main() {
 			csRate(dcs.ScrubPages),
 			cs.ScrubDetected, cs.ScrubRepaired, cs.ScrubQuarantined,
 			ts.Dirty, csRate(destaged-prevDestaged), ts.BreakerState,
-			cur.Get("serve.conns"), rate("serve.rpcs"), cur.Get("serve.inflight"))
+			cur.Get("serve.conns"), rate("serve.rpcs"), cur.Get("serve.inflight"),
+			fcHitPct, rate("serve.filecache_invalidations"))
 		prevDestaged = destaged
 	}
 

@@ -47,11 +47,6 @@ type Conn struct {
 	closer sync.Once
 }
 
-type reply struct {
-	status Status
-	body   []byte // copied out of the demux read buffer
-}
-
 // Dial performs the HELLO handshake over rw and starts the demux.
 // clientID must be non-zero and stable across reconnects of the same
 // logical client (it keys the server's duplicate-request cache).
@@ -72,18 +67,12 @@ func Dial(rw io.ReadWriteCloser, clientID uint64) (*Conn, error) {
 		c.nextXid = binary.LittleEndian.Uint32(seed[:])
 	}
 	go c.demux()
-	rep, err := c.call(ProcHello, encHello(clientID))
+	root, rootAttr, err := decHandleAttr(c.call(encHello(clientID)))
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	d := NewDec(rep.body)
-	c.root = d.Handle()
-	c.rootAttr = d.Attr()
-	if d.Err() != nil {
-		c.Close()
-		return nil, d.Err()
-	}
+	c.root, c.rootAttr = root, rootAttr
 	return c, nil
 }
 
@@ -97,13 +86,12 @@ func (c *Conn) Close() error {
 }
 
 // demux reads reply frames and completes the matching pending calls,
-// in whatever order the server finished them.
+// in whatever order the server finished them. Each frame is read into
+// its own pooled buffer, which passes to the caller with the reply.
 func (c *Conn) demux() {
-	var buf []byte
 	var exit error
 	for {
-		fr, nbuf, err := ReadFrame(c.rw, buf)
-		buf = nbuf
+		fr, bp, err := readPooled(c.rw)
 		if err != nil {
 			exit = err
 			break
@@ -113,9 +101,10 @@ func (c *Conn) demux() {
 		delete(c.pending, fr.Xid)
 		c.mu.Unlock()
 		if !ok {
-			continue // late reply for an abandoned call
+			putBuf(bp) // late reply for an abandoned call
+			continue
 		}
-		ch <- reply{status: Status(fr.Op), body: append([]byte(nil), fr.Body...)}
+		ch <- reply{status: Status(fr.Op), body: fr.Body, buf: bp}
 	}
 	if exit == nil || errors.Is(exit, io.EOF) {
 		exit = fmt.Errorf("%w: connection closed", fsapi.ErrIO)
@@ -129,14 +118,16 @@ func (c *Conn) demux() {
 	c.mu.Unlock()
 }
 
-// call sends one frame and waits for its reply. A non-OK status comes
-// back as the canonical fsapi error.
-func (c *Conn) call(proc Proc, body []byte) (reply, error) {
+// call sends one request frame (built by an enc* helper; call owns and
+// recycles it) and waits for its reply. A non-OK status comes back as
+// the canonical fsapi error.
+func (c *Conn) call(frame *[]byte) (reply, error) {
 	ch := make(chan reply, 1)
 	c.mu.Lock()
 	if c.broken != nil {
 		err := c.broken
 		c.mu.Unlock()
+		putBuf(frame)
 		return reply{}, err
 	}
 	c.nextXid++
@@ -144,12 +135,9 @@ func (c *Conn) call(proc Proc, body []byte) (reply, error) {
 	c.pending[xid] = ch
 	c.mu.Unlock()
 
-	frame := getBuf()
-	frame = BeginFrame(frame, xid, uint8(proc))
-	frame = append(frame, body...)
-	frame = EndFrame(frame, 0)
+	stampXid(*frame, xid)
 	c.wmu.Lock()
-	_, werr := c.rw.Write(frame)
+	_, werr := c.rw.Write(*frame)
 	c.wmu.Unlock()
 	putBuf(frame)
 	if werr != nil {
@@ -167,6 +155,7 @@ func (c *Conn) call(proc Proc, body []byte) (reply, error) {
 		return reply{}, err
 	}
 	if rep.status != StatusOK {
+		rep.release()
 		return reply{}, rep.status.Err()
 	}
 	return rep, nil
@@ -178,86 +167,53 @@ func (c *Conn) call(proc Proc, body []byte) (reply, error) {
 
 // Getattr stats a handle.
 func (c *Conn) Getattr(h fsapi.Handle) (Attr, error) {
-	rep, err := c.call(ProcGetattr, encHandle(h))
-	if err != nil {
-		return Attr{}, err
-	}
-	return decAttr(rep)
+	return decAttr(c.call(encHandle(ProcGetattr, h)))
 }
 
 // Lookup resolves name under dir.
 func (c *Conn) Lookup(dir fsapi.Handle, name string) (fsapi.Handle, Attr, error) {
-	rep, err := c.call(ProcLookup, encLookup(dir, name))
-	if err != nil {
-		return fsapi.Handle{}, Attr{}, err
-	}
-	return decHandleAttr(rep)
+	return decHandleAttr(c.call(encLookup(dir, name)))
 }
 
 // Read reads up to n bytes at off into p (len(p) ≥ n).
 func (c *Conn) Read(h fsapi.Handle, off int64, p []byte) (int, error) {
-	rep, err := c.call(ProcRead, encRead(h, off, len(p)))
-	if err != nil {
-		return 0, err
-	}
-	return decReadInto(rep, p)
+	rep, err := c.call(encRead(h, off, len(p)))
+	return decReadInto(rep, err, p)
 }
 
 // Write writes p at off.
 func (c *Conn) Write(h fsapi.Handle, off int64, p []byte) (int, error) {
-	rep, err := c.call(ProcWrite, encWrite(h, off, p))
-	if err != nil {
-		return 0, err
-	}
-	return decWrote(rep)
+	return decWrote(c.call(encWrite(h, off, p)))
 }
 
 // Append appends p, returning the offset it landed at.
 func (c *Conn) Append(h fsapi.Handle, p []byte) (int64, error) {
-	rep, err := c.call(ProcAppend, encAppend(h, p))
-	if err != nil {
-		return 0, err
-	}
-	return decAppendedAt(rep)
+	return decAppendedAt(c.call(encAppend(h, p)))
 }
 
 // Create creates (or truncates) name under dir.
 func (c *Conn) Create(dir fsapi.Handle, name string, mode uint16) (fsapi.Handle, Attr, error) {
-	return c.makeNode(ProcCreate, dir, name, mode)
+	return decHandleAttr(c.call(encMakeNode(ProcCreate, dir, mode, name)))
 }
 
 // Mkdir creates a directory under dir.
 func (c *Conn) Mkdir(dir fsapi.Handle, name string, mode uint16) (fsapi.Handle, Attr, error) {
-	return c.makeNode(ProcMkdir, dir, name, mode)
-}
-
-func (c *Conn) makeNode(p Proc, dir fsapi.Handle, name string, mode uint16) (fsapi.Handle, Attr, error) {
-	rep, err := c.call(p, encMakeNode(dir, mode, name))
-	if err != nil {
-		return fsapi.Handle{}, Attr{}, err
-	}
-	return decHandleAttr(rep)
+	return decHandleAttr(c.call(encMakeNode(ProcMkdir, dir, mode, name)))
 }
 
 // Remove unlinks a file name under dir.
 func (c *Conn) Remove(dir fsapi.Handle, name string) error {
-	return c.removeNode(ProcRemove, dir, name)
+	return decEmpty(c.call(encRemoveNode(ProcRemove, dir, name)))
 }
 
 // Rmdir removes an empty directory name under dir.
 func (c *Conn) Rmdir(dir fsapi.Handle, name string) error {
-	return c.removeNode(ProcRmdir, dir, name)
-}
-
-func (c *Conn) removeNode(p Proc, dir fsapi.Handle, name string) error {
-	_, err := c.call(p, encRemoveNode(dir, name))
-	return err
+	return decEmpty(c.call(encRemoveNode(ProcRmdir, dir, name)))
 }
 
 // Rename moves fromName under fromDir to toName under toDir.
 func (c *Conn) Rename(fromDir fsapi.Handle, fromName string, toDir fsapi.Handle, toName string) error {
-	_, err := c.call(ProcRename, encRename(fromDir, toDir, fromName, toName))
-	return err
+	return decEmpty(c.call(encRename(fromDir, toDir, fromName, toName)))
 }
 
 // Readdir lists the names under a directory handle, following the
@@ -265,21 +221,17 @@ func (c *Conn) Rename(fromDir fsapi.Handle, fromName string, toDir fsapi.Handle,
 // is one bounded reply frame, so arbitrarily large directories list
 // without ever exceeding MaxFrame.
 func (c *Conn) Readdir(h fsapi.Handle) ([]string, error) {
-	return readdirPages(h, func(body []byte) (reply, error) {
-		return c.call(ProcReaddir, body)
-	})
+	return readdirPages(h, c.call)
 }
 
 // Setattr truncates the file a handle names.
 func (c *Conn) Setattr(h fsapi.Handle, size int64) error {
-	_, err := c.call(ProcSetattr, encSetattr(h, size))
-	return err
+	return decEmpty(c.call(encSetattr(h, size)))
 }
 
 // Commit syncs the file a handle names.
 func (c *Conn) Commit(h fsapi.Handle) error {
-	_, err := c.call(ProcCommit, encHandle(h))
-	return err
+	return decEmpty(c.call(encHandle(ProcCommit, h)))
 }
 
 // ---------------------------------------------------------------------

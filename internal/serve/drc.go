@@ -27,6 +27,7 @@
 package serve
 
 import (
+	"hash/crc32"
 	"sync"
 	"time"
 )
@@ -46,17 +47,21 @@ type drcEntry struct {
 	completedAt time.Time
 }
 
-// reqFingerprint hashes a request's identity (proc + body, FNV-1a) so
-// the DRC can tell a true retransmission (identical bytes) from an xid
-// collision (a different request reusing the key after a reconnect).
+// castagnoli is the CRC32C table; crc32 uses the CPU's CRC instruction
+// for it where there is one, as core.PageCRC does for page checksums.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// reqFingerprint identifies a request (proc + body) so the DRC can tell
+// a true retransmission (identical bytes) from an xid collision (a
+// different request reusing the key after a reconnect). The low 32
+// bits are the CRC32C of the body seeded with the proc, the high 32 the
+// body length. Seeds differ per proc, so the same body under two procs
+// never collides, and CRC32C catches every difference of up to 32
+// consecutive bits between two bodies of equal length. It is a fixed
+// function of the bytes, stable across processes, so a verdict keyed by
+// it could outlive the server that recorded it.
 func reqFingerprint(p Proc, body []byte) uint64 {
-	h := uint64(14695981039346656037) ^ uint64(p)
-	h *= 1099511628211
-	for i := 0; i < len(body); i++ {
-		h ^= uint64(body[i])
-		h *= 1099511628211
-	}
-	return h
+	return uint64(len(body))<<32 | uint64(crc32.Update(uint32(p), castagnoli, body))
 }
 
 type drc struct {

@@ -16,8 +16,15 @@
 // answers.
 //
 // The server holds no per-client open-file state the protocol depends
-// on: worker file caches are a pure performance cache, invalidated
-// wholesale on namespace mutations via a server-wide epoch.
+// on: worker file caches are a pure performance cache. A mutation that
+// removes, renames or truncates-by-create a file logs that file's
+// inode, and each worker retires just the cached opens of it
+// (filecache.go).
+//
+// Every frame lives in one pooled buffer from the read to the last use:
+// the reader reads each request into its own buffer and hands it to a
+// worker, which builds the reply in another pooled buffer that the
+// writer recycles once the batch is on the transport.
 package serve
 
 import (
@@ -27,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,6 +108,35 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// nsStripes is the number of name locks in nsLocks.
+const nsStripes = 64
+
+// nsLocks serializes the namespace mutations whose cache invalidation
+// depends on knowing which inode a name held. REMOVE, RENAME and
+// CREATE stat a name and then change it; another mutation of the same
+// name in between would make them log the wrong inode and leave
+// workers serving cached opens of a removed or replaced file. CREATE,
+// MKDIR, REMOVE and RMDIR hold rename shared and the name's stripe;
+// RENAME, which can move a whole subtree and is rare, holds rename
+// exclusively. Mutations of different names run in parallel.
+type nsLocks struct {
+	rename sync.RWMutex
+	names  [nsStripes]sync.Mutex
+}
+
+// lockName locks out RENAME and every other mutation of path's stripe.
+func (l *nsLocks) lockName(path string) *sync.Mutex {
+	l.rename.RLock()
+	m := &l.names[pathGen(path)%nsStripes]
+	m.Lock()
+	return m
+}
+
+func (l *nsLocks) unlockName(m *sync.Mutex) {
+	m.Unlock()
+	l.rename.RUnlock()
+}
+
 // Server serves the trio wire protocol from one mounted fsapi.FS.
 type Server struct {
 	fs   fsapi.FS
@@ -110,8 +147,10 @@ type Server struct {
 	root     fsapi.Handle
 	rootAttr Attr
 
-	// epoch invalidates worker file caches after namespace mutations.
-	epoch atomic.Uint64
+	// inval names the inodes whose cached opens mutations retired;
+	// ns keeps each logged inode the one its mutation changed.
+	inval invalLog
+	ns    nsLocks
 	// cpuSeq spreads worker fsapi.Clients across CPU hints.
 	cpuSeq atomic.Int64
 
@@ -236,12 +275,13 @@ func (s *Server) quiesced() bool {
 // per-connection machinery
 // ---------------------------------------------------------------------
 
-// request is one admitted frame, body copied out of the read buffer so
-// the reader can keep decoding while workers execute.
+// request is one admitted frame. buf is the pooled buffer the reader
+// read it into (body aliases it); the worker owns and recycles it.
 type request struct {
 	xid  uint32
 	proc Proc
 	body []byte
+	buf  *[]byte
 }
 
 type srvConn struct {
@@ -252,7 +292,7 @@ type srvConn struct {
 
 	sem     chan struct{} // in-flight cap
 	reqs    chan request
-	replies chan []byte // complete reply frames (pooled buffers)
+	replies chan *[]byte // complete reply frames (pooled buffers)
 
 	// unflushed counts replies enqueued but not yet handed to the
 	// transport; Drain waits for it to reach zero so an acked mutation's
@@ -270,16 +310,51 @@ type srvConn struct {
 
 // sendReply enqueues one complete reply frame, keeping the unflushed
 // count Drain polls in step. Every reply path must come through here.
-func (c *srvConn) sendReply(frame []byte) {
+func (c *srvConn) sendReply(frame *[]byte) {
 	c.unflushed.Add(1)
 	c.replies <- frame
 }
 
-// bufPool recycles request bodies and reply frames.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+// sendStatus replies with a bare status frame.
+func (c *srvConn) sendStatus(xid uint32, st Status) {
+	bp := getBuf()
+	*bp = EndFrame(BeginFrame(*bp, xid, uint8(st)), 0)
+	c.sendReply(bp)
+}
 
-func getBuf() []byte  { return (*(bufPool.Get().(*[]byte)))[:0] }
-func putBuf(b []byte) { bufPool.Put(&b) }
+// poolBufSize is the capacity of a fresh pooled buffer: a 4 KiB data
+// payload plus the largest header around one (a WRITE request, 29
+// bytes with the length prefix) fits without regrowing.
+const poolBufSize = 4<<10 + 64
+
+// bufPool recycles frame buffers on both ends of the wire. It holds
+// pointers so that Put stores one without allocating; a buffer that
+// grew for a larger frame goes back grown.
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, poolBufSize); return &b }}
+
+// getBuf returns an empty pooled buffer; putBuf recycles one. The
+// holder of the pointer owns the buffer until putBuf.
+func getBuf() *[]byte {
+	bp := bufPool.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
+
+func putBuf(bp *[]byte) { bufPool.Put(bp) }
+
+// readPooled reads one frame into a fresh pooled buffer, so the frame
+// can be handed off while the reader goes on. The caller owns the
+// buffer (fr.Body aliases it); on error it is already recycled.
+func readPooled(r io.Reader) (Frame, *[]byte, error) {
+	bp := getBuf()
+	fr, b, err := ReadFrame(r, *bp)
+	*bp = b
+	if err != nil {
+		putBuf(bp)
+		return Frame{}, nil, err
+	}
+	return fr, bp, nil
+}
 
 // ServeConn runs one connection to completion. It is the entry point
 // shared by the TCP accept loop and the in-process loopback transport.
@@ -295,7 +370,7 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 		rw:      rw,
 		sem:     make(chan struct{}, s.opts.MaxInflight),
 		reqs:    make(chan request, s.opts.MaxInflight),
-		replies: make(chan []byte, s.opts.MaxInflight+1),
+		replies: make(chan *[]byte, s.opts.MaxInflight+1),
 	}
 	if s.opts.ReadTimeout > 0 {
 		c.rd, _ = rw.(interface{ SetReadDeadline(time.Time) error })
@@ -336,13 +411,11 @@ func (c *srvConn) closeTransport() {
 
 // readLoop decodes and admits requests until the transport ends.
 func (c *srvConn) readLoop() error {
-	var buf []byte
 	for {
 		if c.rd != nil {
 			c.rd.SetReadDeadline(time.Now().Add(c.srv.opts.ReadTimeout))
 		}
-		fr, nbuf, err := ReadFrame(c.rw, buf)
-		buf = nbuf
+		fr, bp, err := readPooled(c.rw)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -353,7 +426,9 @@ func (c *srvConn) readLoop() error {
 			return err
 		}
 		if Proc(fr.Op) == ProcHello {
-			if err := c.hello(fr); err != nil {
+			err := c.hello(fr)
+			putBuf(bp)
+			if err != nil {
 				return err
 			}
 			continue
@@ -361,6 +436,7 @@ func (c *srvConn) readLoop() error {
 		if c.clientID.Load() == 0 {
 			// Requests before HELLO have no DRC identity; drop the
 			// connection rather than guess.
+			putBuf(bp)
 			mBadFrame.Inc()
 			return fmt.Errorf("%w: request before HELLO", ErrBadFrame)
 		}
@@ -368,9 +444,9 @@ func (c *srvConn) readLoop() error {
 			// Unknown proc: answer StatusBadProc here, never dispatch.
 			// The op byte is attacker-controlled and downstream paths
 			// index fixed-size per-proc tables with it.
+			putBuf(bp)
 			mBadFrame.Inc()
-			reply := BeginFrame(getBuf(), fr.Xid, uint8(StatusBadProc))
-			c.sendReply(EndFrame(reply, 0))
+			c.sendStatus(fr.Xid, StatusBadProc)
 			continue
 		}
 		if c.srv.draining.Load() || !c.srv.admit() {
@@ -378,16 +454,14 @@ func (c *srvConn) readLoop() error {
 			// the DRC claim and before dispatch: the request did not
 			// execute and nothing was cached, so a same-xid retry after
 			// the client's backoff is always safe.
+			putBuf(bp)
 			mShed.Inc()
-			reply := BeginFrame(getBuf(), fr.Xid, uint8(StatusBusy))
-			c.sendReply(EndFrame(reply, 0))
+			c.sendStatus(fr.Xid, StatusBusy)
 			continue
 		}
 		c.sem <- struct{}{} // backpressure: cap in-flight
 		mInflight.Inc()
-		body := getBuf()
-		body = append(body, fr.Body...)
-		c.reqs <- request{xid: fr.Xid, proc: Proc(fr.Op), body: body}
+		c.reqs <- request{xid: fr.Xid, proc: Proc(fr.Op), body: fr.Body, buf: bp}
 	}
 }
 
@@ -396,17 +470,17 @@ func (c *srvConn) readLoop() error {
 func (c *srvConn) hello(fr Frame) error {
 	d := NewDec(fr.Body)
 	magic, ver, id := d.U32(), d.U16(), d.U64()
-	reply := getBuf()
 	if d.Err() != nil || magic != Magic || ver != ProtoVersion || id == 0 {
-		reply = BeginFrame(reply, fr.Xid, uint8(StatusInval))
-		c.sendReply(EndFrame(reply, 0))
+		c.sendStatus(fr.Xid, StatusInval)
 		return fmt.Errorf("%w: bad HELLO", ErrBadFrame)
 	}
 	c.clientID.Store(id)
-	reply = BeginFrame(reply, fr.Xid, uint8(StatusOK))
+	bp := getBuf()
+	reply := BeginFrame(*bp, fr.Xid, uint8(StatusOK))
 	reply = AppendHandle(reply, c.srv.root)
 	reply = AppendAttr(reply, c.srv.rootAttr)
-	c.sendReply(EndFrame(reply, 0))
+	*bp = EndFrame(reply, 0)
+	c.sendReply(bp)
 	mRPCs.Inc()
 	mProcs[ProcHello].Inc()
 	return nil
@@ -418,7 +492,7 @@ func (c *srvConn) writeLoop() {
 	var out []byte
 	broken := false
 	for first := range c.replies {
-		out = append(out[:0], first...)
+		out = append(out[:0], *first...)
 		putBuf(first)
 		n := int64(1)
 	drain:
@@ -428,7 +502,7 @@ func (c *srvConn) writeLoop() {
 				if !ok {
 					break drain
 				}
-				out = append(out, f...)
+				out = append(out, *f...)
 				putBuf(f)
 				n++
 			default:
@@ -459,7 +533,7 @@ func (c *srvConn) writeLoop() {
 func (c *srvConn) worker(id int) {
 	defer c.workerWG.Done()
 	client := c.srv.fs.NewClient(int(c.srv.cpuSeq.Add(1)))
-	fc := newFileCache(c.srv.opts.FileCache)
+	fc := newFileCache(c.srv.opts.FileCache, id, &c.srv.inval, c.srv.tab)
 	defer fc.closeAll()
 	for req := range c.reqs {
 		c.handle(client, fc, id, req)
@@ -471,22 +545,22 @@ func (c *srvConn) handle(client fsapi.Client, fc *fileCache, id int, req request
 	if telemetry.On() {
 		start = time.Now()
 	}
-	var reply []byte
+	reply := getBuf()
 	if nonIdempotent(req.proc) {
 		key := drcKey{client: c.clientID.Load(), xid: req.xid}
 		entry, dup := c.srv.drc.claim(key, reqFingerprint(req.proc, req.body))
 		if dup {
 			<-entry.done
 			mDRCHits.Inc()
-			reply = append(getBuf(), entry.reply...)
+			*reply = append(*reply, entry.reply...)
 		} else {
-			reply = c.exec(client, fc, req)
-			c.srv.drc.record(key, entry, reply)
+			*reply = c.exec(client, fc, req, *reply)
+			c.srv.drc.record(key, entry, *reply)
 		}
 	} else {
-		reply = c.exec(client, fc, req)
+		*reply = c.exec(client, fc, req, *reply)
 	}
-	putBuf(req.body)
+	putBuf(req.buf)
 	c.sendReply(reply)
 	<-c.sem
 	c.srv.release()
@@ -521,12 +595,11 @@ func errReply(buf []byte, xid uint32, err error) []byte {
 	return EndFrame(buf, 0)
 }
 
-// exec runs one request and returns its encoded reply frame (in a
-// pooled buffer the writer releases).
-func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
+// exec runs one request and appends its encoded reply frame to the
+// empty buffer buf.
+func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request, buf []byte) []byte {
 	s := c.srv
 	d := NewDec(req.body)
-	buf := getBuf()
 	ok := func() []byte { return EndFrame(buf, 0) }
 
 	switch req.proc {
@@ -575,19 +648,20 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 		if d.Err() != nil || n < 0 || n > MaxFrame-64 {
 			return errReply(buf, req.xid, fsapi.ErrInval)
 		}
-		f, err := fc.get(c, client, h, false)
+		f, err := fc.get(client, h, false)
 		if err != nil {
 			return errReply(buf, req.xid, err)
 		}
-		// Encode optimistically: reserve the count field, read straight
-		// into the reply buffer (no bounce copy), patch the count.
+		// Encode optimistically: reserve the count field and n payload
+		// bytes in one step, read straight into the reply buffer (no
+		// bounce copy), patch the count. The reserved bytes are not
+		// cleared: ReadAt fills the cnt it returns (holes as zeros) and
+		// the frame is cut at cnt, so nothing stale reaches the wire.
 		buf = BeginFrame(buf, req.xid, uint8(StatusOK))
 		pos := len(buf)
 		buf = appendU32(buf, 0)
-		for len(buf) < pos+4+n {
-			buf = append(buf, 0)
-		}
-		cnt, err := f.ReadAt(buf[pos+4:pos+4+n], off)
+		buf = slices.Grow(buf, n)[:pos+4+n]
+		cnt, err := f.ReadAt(buf[pos+4:], off)
 		if err != nil {
 			fc.drop(h, false)
 			return errReply(buf, req.xid, err)
@@ -602,7 +676,7 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 		if d.Err() != nil {
 			return errReply(buf, req.xid, fsapi.ErrInval)
 		}
-		f, err := fc.get(c, client, h, true)
+		f, err := fc.get(client, h, true)
 		if err != nil {
 			return errReply(buf, req.xid, err)
 		}
@@ -621,7 +695,7 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 		if d.Err() != nil {
 			return errReply(buf, req.xid, fsapi.ErrInval)
 		}
-		f, err := fc.get(c, client, h, true)
+		f, err := fc.get(client, h, true)
 		if err != nil {
 			return errReply(buf, req.xid, err)
 		}
@@ -649,15 +723,14 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 			return errReply(buf, req.xid, err)
 		}
 		path := joinPath(dir, string(name))
+		m := s.ns.lockName(path)
+		defer s.ns.unlockName(m)
 		if req.proc == ProcCreate {
 			f, cerr := client.Create(path, mode)
 			if cerr != nil {
 				return errReply(buf, req.xid, cerr)
 			}
 			f.Close()
-			// Creating over an existing name truncates: cached opens of
-			// the old content must not serve stale sizes.
-			s.epoch.Add(1)
 		} else {
 			if merr := client.Mkdir(path, mode); merr != nil {
 				return errReply(buf, req.xid, merr)
@@ -668,6 +741,11 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 			return errReply(buf, req.xid, err)
 		}
 		nh := s.tab.mint(path, info)
+		if req.proc == ProcCreate {
+			// Creating over an existing name truncates that inode:
+			// cached opens of it must not serve the old content.
+			s.inval.add(info.Ino)
+		}
 		buf = BeginFrame(buf, req.xid, uint8(StatusOK))
 		buf = AppendHandle(buf, nh)
 		buf = AppendAttr(buf, AttrOf(info))
@@ -687,6 +765,8 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 			return errReply(buf, req.xid, err)
 		}
 		path := joinPath(dir, string(name))
+		m := s.ns.lockName(path)
+		defer s.ns.unlockName(m)
 		// Identify the victim before the namespace changes, but forget
 		// its table entry only on success — a failed remove must leave
 		// live handles resolvable.
@@ -708,8 +788,13 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 		}
 		if haveVictim {
 			s.tab.forget(victim)
+			s.inval.add(victim.Ino)
+		} else {
+			// The name appeared between the stat and the remove (a
+			// client outside this server made it), so the removed
+			// file is unknown: retire every cached open.
+			s.inval.flushAll()
 		}
-		s.epoch.Add(1)
 		buf = BeginFrame(buf, req.xid, uint8(StatusOK))
 		return ok()
 
@@ -737,6 +822,8 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 		// On success the moved inode's handle follows it to the new
 		// path; a replaced destination inode's handle turns stale. A
 		// failed rename changes no table state.
+		s.ns.rename.Lock()
+		defer s.ns.rename.Unlock()
 		handleAt := func(p string) (fsapi.Handle, bool) {
 			info, serr := client.Stat(p)
 			if serr != nil {
@@ -755,11 +842,16 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 		}
 		if haveReplaced {
 			s.tab.forget(replaced)
+			s.inval.add(replaced.Ino)
 		}
 		if haveMoved {
 			s.tab.remap(moved, from, to)
+			s.inval.add(moved.Ino)
+		} else {
+			// The source appeared after its stat (made outside this
+			// server): what moved is unknown.
+			s.inval.flushAll()
 		}
-		s.epoch.Add(1)
 		buf = BeginFrame(buf, req.xid, uint8(StatusOK))
 		return ok()
 
@@ -812,7 +904,7 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 		if d.Err() != nil || size < 0 {
 			return errReply(buf, req.xid, fsapi.ErrInval)
 		}
-		f, err := fc.get(c, client, h, true)
+		f, err := fc.get(client, h, true)
 		if err != nil {
 			return errReply(buf, req.xid, err)
 		}
@@ -828,7 +920,7 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 		if d.Err() != nil {
 			return errReply(buf, req.xid, fsapi.ErrInval)
 		}
-		f, err := fc.get(c, client, h, true)
+		f, err := fc.get(client, h, true)
 		if err != nil {
 			return errReply(buf, req.xid, err)
 		}
@@ -842,74 +934,4 @@ func (c *srvConn) exec(client fsapi.Client, fc *fileCache, req request) []byte {
 
 	buf = BeginFrame(buf, req.xid, uint8(StatusBadProc))
 	return ok()
-}
-
-// ---------------------------------------------------------------------
-// worker open-file cache
-// ---------------------------------------------------------------------
-
-// fileCache is one worker's bounded cache of resolved open files. It is
-// a pure performance cache: correctness never depends on it because a
-// namespace mutation anywhere bumps the server epoch and the next
-// access flushes everything.
-type fileCache struct {
-	cap   int
-	epoch uint64
-	m     map[uint64]fsapi.File
-	order []uint64
-}
-
-func newFileCache(capacity int) *fileCache {
-	return &fileCache{cap: capacity, m: make(map[uint64]fsapi.File, capacity)}
-}
-
-func cacheKey(h fsapi.Handle, write bool) uint64 {
-	k := h.Pack() << 1
-	if write {
-		k |= 1
-	}
-	return k
-}
-
-func (fc *fileCache) get(c *srvConn, client fsapi.Client, h fsapi.Handle, write bool) (fsapi.File, error) {
-	if e := c.srv.epoch.Load(); e != fc.epoch {
-		fc.closeAll()
-		fc.epoch = e
-	}
-	key := cacheKey(h, write)
-	if f, ok := fc.m[key]; ok {
-		return f, nil
-	}
-	f, err := c.srv.tab.openFile(client, h, write)
-	if err != nil {
-		return nil, err
-	}
-	for len(fc.order) >= fc.cap {
-		old := fc.order[0]
-		fc.order = fc.order[1:]
-		if of, ok := fc.m[old]; ok {
-			of.Close()
-			delete(fc.m, old)
-		}
-	}
-	fc.m[key] = f
-	fc.order = append(fc.order, key)
-	return f, nil
-}
-
-// drop evicts one entry after an I/O error so the next access re-opens.
-func (fc *fileCache) drop(h fsapi.Handle, write bool) {
-	key := cacheKey(h, write)
-	if f, ok := fc.m[key]; ok {
-		f.Close()
-		delete(fc.m, key)
-	}
-}
-
-func (fc *fileCache) closeAll() {
-	for k, f := range fc.m {
-		f.Close()
-		delete(fc.m, k)
-	}
-	fc.order = fc.order[:0]
 }

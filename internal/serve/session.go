@@ -100,13 +100,16 @@ type SessionStats struct {
 	Deadlines   int64 // calls failed by their context deadline
 }
 
-// scall is one in-flight session call. body is the Session's own copy:
-// retransmission happens after the caller's buffer may have been
-// reused, and the bytes must be identical for the DRC fingerprint.
+// scall is one in-flight session call. frame is the request as built
+// once by an enc* helper, xid stamped; every send and retransmission
+// writes these same bytes, which is what the DRC fingerprint needs.
 type scall struct {
-	proc Proc
-	body []byte
-	ch   chan reply // buffered 1; closed only on terminal session death
+	frame *[]byte
+	ch    chan reply // buffered 1; closed only on terminal session death
+	// retx is set when a reconnect snapshots the call for
+	// retransmission. That write may still be running when the call
+	// returns, so the frame is then left to the GC, not recycled.
+	retx atomic.Bool
 }
 
 // Session is a persistent, reconnecting client connection. All methods
@@ -342,22 +345,18 @@ func (s *Session) connectLoop() {
 				s.cur = rw
 				s.root, s.rootAttr = root, rattr
 				s.connecting = false
-				type retx struct {
-					xid  uint32
-					proc Proc
-					body []byte
-				}
-				snap := make([]retx, 0, len(s.pending))
-				for xid, sc := range s.pending {
-					snap = append(snap, retx{xid, sc.proc, sc.body})
+				snap := make([][]byte, 0, len(s.pending))
+				for _, sc := range s.pending {
+					sc.retx.Store(true)
+					snap = append(snap, *sc.frame)
 				}
 				s.mu.Unlock()
 				if gen > 1 {
 					s.reconnects.Add(1)
 				}
 				go s.demux(rw, gen)
-				for _, r := range snap {
-					if s.send(rw, r.xid, r.proc, r.body) != nil {
+				for _, frame := range snap {
+					if s.send(rw, frame) != nil {
 						break // demux's error path reconnects and re-snapshots
 					}
 					s.retransmits.Add(1)
@@ -393,11 +392,9 @@ func (s *Session) hello(rw io.ReadWriteCloser) (fsapi.Handle, Attr, error) {
 	timer := time.AfterFunc(s.opts.CallTimeout, func() { rw.Close() })
 	defer timer.Stop()
 
-	frame := getBuf()
-	frame = BeginFrame(frame, xid, uint8(ProcHello))
-	frame = append(frame, encHello(s.opts.ClientID)...)
-	frame = EndFrame(frame, 0)
-	_, werr := rw.Write(frame)
+	frame := encHello(s.opts.ClientID)
+	stampXid(*frame, xid)
+	_, werr := rw.Write(*frame)
 	putBuf(frame)
 	if werr != nil {
 		return fsapi.Handle{}, Attr{}, fmt.Errorf("%w: hello write: %v", fsapi.ErrIO, werr)
@@ -420,27 +417,21 @@ func (s *Session) hello(rw io.ReadWriteCloser) (fsapi.Handle, Attr, error) {
 // send writes one request frame. Errors are deliberately soft: a failed
 // write means the transport is dying, and the demux error path will
 // reconnect and retransmit the still-pending call.
-func (s *Session) send(rw io.ReadWriteCloser, xid uint32, proc Proc, body []byte) error {
-	frame := getBuf()
-	frame = BeginFrame(frame, xid, uint8(proc))
-	frame = append(frame, body...)
-	frame = EndFrame(frame, 0)
+func (s *Session) send(rw io.ReadWriteCloser, frame []byte) error {
 	s.wmu.Lock()
 	_, err := rw.Write(frame)
 	s.wmu.Unlock()
-	putBuf(frame)
 	return err
 }
 
 // demux reads reply frames from one transport generation and completes
-// the matching pending calls. Deleting from pending BEFORE delivering
-// guarantees at most one delivery per registration, so the buffered
-// channel send never blocks.
+// the matching pending calls, handing each the pooled buffer its reply
+// was read into. Deleting from pending BEFORE delivering guarantees at
+// most one delivery per registration, so the buffered channel send
+// never blocks.
 func (s *Session) demux(rw io.ReadWriteCloser, gen int) {
-	var buf []byte
 	for {
-		fr, nbuf, err := ReadFrame(rw, buf)
-		buf = nbuf
+		fr, bp, err := readPooled(rw)
 		if err != nil {
 			s.transportBroken(gen)
 			return
@@ -452,14 +443,16 @@ func (s *Session) demux(rw io.ReadWriteCloser, gen int) {
 		}
 		s.mu.Unlock()
 		if !ok {
-			continue // late reply for an abandoned or superseded call
+			putBuf(bp) // late reply for an abandoned or superseded call
+			continue
 		}
-		sc.ch <- reply{status: Status(fr.Op), body: append([]byte(nil), fr.Body...)}
+		sc.ch <- reply{status: Status(fr.Op), body: fr.Body, buf: bp}
 	}
 }
 
 // call runs one request to completion across any number of transports.
-func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, error) {
+// frame is a request built by an enc* helper; call owns it from here.
+func (s *Session) call(ctx context.Context, frame *[]byte) (reply, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -468,7 +461,12 @@ func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, erro
 		ctx, cancel = context.WithTimeout(ctx, s.opts.CallTimeout)
 		defer cancel()
 	}
-	sc := &scall{proc: proc, body: append([]byte(nil), body...), ch: make(chan reply, 1)}
+	sc := &scall{frame: frame, ch: make(chan reply, 1)}
+	defer func() {
+		if !sc.retx.Load() {
+			putBuf(frame)
+		}
+	}()
 
 	s.mu.Lock()
 	if err := s.deadLocked(); err != nil {
@@ -478,6 +476,7 @@ func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, erro
 	s.nextXid++
 	xid := s.nextXid
 	s.mu.Unlock()
+	stampXid(*frame, xid)
 
 	for attempt := 0; ; attempt++ {
 		// Register and capture the transport atomically (see
@@ -494,7 +493,7 @@ func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, erro
 		if rw != nil {
 			// A write error is ignored on purpose: the call stays
 			// pending and the reconnect retransmits it.
-			_ = s.send(rw, xid, proc, sc.body)
+			_ = s.send(rw, *frame)
 		}
 
 		select {
@@ -505,6 +504,7 @@ func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, erro
 			if rep.status == StatusBusy {
 				// Shed before execution, never cached: a same-xid
 				// retry after backoff is always safe.
+				rep.release()
 				s.busyRetries.Add(1)
 				if !s.sleep(ctx, s.backoffDelay(attempt)) {
 					select {
@@ -520,6 +520,7 @@ func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, erro
 				continue
 			}
 			if rep.status != StatusOK {
+				rep.release()
 				return reply{}, rep.status.Err()
 			}
 			return rep, nil
@@ -539,6 +540,7 @@ func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, erro
 					if rep.status == StatusOK {
 						return rep, nil
 					}
+					rep.release()
 					if rep.status != StatusBusy {
 						return reply{}, rep.status.Err()
 					}
@@ -553,7 +555,7 @@ func (s *Session) call(ctx context.Context, proc Proc, body []byte) (reply, erro
 			// partition turns into a reconnect instead of wedging
 			// every subsequent call.
 			s.suspect()
-			return reply{}, fmt.Errorf("%w (proc %d)", ErrDeadline, proc)
+			return reply{}, fmt.Errorf("%w (proc %d)", ErrDeadline, frameProc(*frame))
 		}
 	}
 }
@@ -575,101 +577,69 @@ func (s *Session) deadLocked() error {
 
 // Getattr stats a handle.
 func (s *Session) Getattr(ctx context.Context, h fsapi.Handle) (Attr, error) {
-	rep, err := s.call(ctx, ProcGetattr, encHandle(h))
-	if err != nil {
-		return Attr{}, err
-	}
-	return decAttr(rep)
+	return decAttr(s.call(ctx, encHandle(ProcGetattr, h)))
 }
 
 // Lookup resolves name under dir.
 func (s *Session) Lookup(ctx context.Context, dir fsapi.Handle, name string) (fsapi.Handle, Attr, error) {
-	rep, err := s.call(ctx, ProcLookup, encLookup(dir, name))
-	if err != nil {
-		return fsapi.Handle{}, Attr{}, err
-	}
-	return decHandleAttr(rep)
+	return decHandleAttr(s.call(ctx, encLookup(dir, name)))
 }
 
 // Read reads up to len(p) bytes at off into p.
 func (s *Session) Read(ctx context.Context, h fsapi.Handle, off int64, p []byte) (int, error) {
-	rep, err := s.call(ctx, ProcRead, encRead(h, off, len(p)))
-	if err != nil {
-		return 0, err
-	}
-	return decReadInto(rep, p)
+	rep, err := s.call(ctx, encRead(h, off, len(p)))
+	return decReadInto(rep, err, p)
 }
 
 // Write writes p at off.
 func (s *Session) Write(ctx context.Context, h fsapi.Handle, off int64, p []byte) (int, error) {
-	rep, err := s.call(ctx, ProcWrite, encWrite(h, off, p))
-	if err != nil {
-		return 0, err
-	}
-	return decWrote(rep)
+	return decWrote(s.call(ctx, encWrite(h, off, p)))
 }
 
 // Append appends p, returning the offset it landed at.
 func (s *Session) Append(ctx context.Context, h fsapi.Handle, p []byte) (int64, error) {
-	rep, err := s.call(ctx, ProcAppend, encAppend(h, p))
-	if err != nil {
-		return 0, err
-	}
-	return decAppendedAt(rep)
+	return decAppendedAt(s.call(ctx, encAppend(h, p)))
 }
 
 // Create creates (or truncates) name under dir.
 func (s *Session) Create(ctx context.Context, dir fsapi.Handle, name string, mode uint16) (fsapi.Handle, Attr, error) {
-	rep, err := s.call(ctx, ProcCreate, encMakeNode(dir, mode, name))
-	if err != nil {
-		return fsapi.Handle{}, Attr{}, err
-	}
-	return decHandleAttr(rep)
+	return decHandleAttr(s.call(ctx, encMakeNode(ProcCreate, dir, mode, name)))
 }
 
 // Mkdir creates a directory under dir.
 func (s *Session) Mkdir(ctx context.Context, dir fsapi.Handle, name string, mode uint16) (fsapi.Handle, Attr, error) {
-	rep, err := s.call(ctx, ProcMkdir, encMakeNode(dir, mode, name))
-	if err != nil {
-		return fsapi.Handle{}, Attr{}, err
-	}
-	return decHandleAttr(rep)
+	return decHandleAttr(s.call(ctx, encMakeNode(ProcMkdir, dir, mode, name)))
 }
 
 // Remove unlinks a file name under dir.
 func (s *Session) Remove(ctx context.Context, dir fsapi.Handle, name string) error {
-	_, err := s.call(ctx, ProcRemove, encRemoveNode(dir, name))
-	return err
+	return decEmpty(s.call(ctx, encRemoveNode(ProcRemove, dir, name)))
 }
 
 // Rmdir removes an empty directory name under dir.
 func (s *Session) Rmdir(ctx context.Context, dir fsapi.Handle, name string) error {
-	_, err := s.call(ctx, ProcRmdir, encRemoveNode(dir, name))
-	return err
+	return decEmpty(s.call(ctx, encRemoveNode(ProcRmdir, dir, name)))
 }
 
 // Rename moves fromName under fromDir to toName under toDir.
 func (s *Session) Rename(ctx context.Context, fromDir fsapi.Handle, fromName string, toDir fsapi.Handle, toName string) error {
-	_, err := s.call(ctx, ProcRename, encRename(fromDir, toDir, fromName, toName))
-	return err
+	return decEmpty(s.call(ctx, encRename(fromDir, toDir, fromName, toName)))
 }
 
 // Readdir lists the names under a directory handle, paging on the
 // server's continuation cookie.
 func (s *Session) Readdir(ctx context.Context, h fsapi.Handle) ([]string, error) {
-	return readdirPages(h, func(body []byte) (reply, error) {
-		return s.call(ctx, ProcReaddir, body)
+	return readdirPages(h, func(frame *[]byte) (reply, error) {
+		return s.call(ctx, frame)
 	})
 }
 
 // Setattr truncates the file a handle names.
 func (s *Session) Setattr(ctx context.Context, h fsapi.Handle, size int64) error {
-	_, err := s.call(ctx, ProcSetattr, encSetattr(h, size))
-	return err
+	return decEmpty(s.call(ctx, encSetattr(h, size)))
 }
 
 // Commit syncs the file a handle names.
 func (s *Session) Commit(ctx context.Context, h fsapi.Handle) error {
-	_, err := s.call(ctx, ProcCommit, encHandle(h))
-	return err
+	return decEmpty(s.call(ctx, encHandle(ProcCommit, h)))
 }

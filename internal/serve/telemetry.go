@@ -41,6 +41,17 @@ var (
 	// mShed counts requests answered StatusBusy by admission control or
 	// drain — the overload-shedding gauge (ISSUE 10).
 	mShed = telemetry.Default().NewCounter("serve.shed")
+
+	// Worker open-file cache: lookups that found a cached open (hits)
+	// or had to resolve and open the handle (misses); cached opens
+	// retired because a REMOVE, RENAME or CREATE named their file
+	// (invalidations); and whole-cache flushes, taken only when a
+	// worker fell behind the invalidation log or a mutation could not
+	// name the file it affected.
+	mFCHits          = telemetry.Default().NewCounter("serve.filecache_hits")
+	mFCMisses        = telemetry.Default().NewCounter("serve.filecache_misses")
+	mFCInvalidations = telemetry.Default().NewCounter("serve.filecache_invalidations")
+	mFCFlushes       = telemetry.Default().NewCounter("serve.filecache_flushes")
 )
 
 func init() {

@@ -41,7 +41,9 @@
 #      its in-process gates (ringed speedup floor on the metadata
 #      modes) exit nonzero on violation.
 #  11. a serving smoke: the wire codec's steady-state encode/decode
-#      must report 0 allocs/op, and trio-bench -experiment serving
+#      must report 0 allocs/op, a Session round trip (4 KiB READ,
+#      WRITE, APPEND and a GETATTR, client and server in-process) at
+#      most 17 allocs/op, and trio-bench -experiment serving
 #      -quick runs shrunken serial-vs-pipelined pairs with the cost
 #      model on; its in-process gate (pipelined speedup floor at
 #      depth 8) exits nonzero on violation.
@@ -139,6 +141,18 @@ codec_allocs=$(go test -run='^$' -bench='^BenchmarkServeCodec' -benchtime=100x -
 	| awk '/^BenchmarkServeCodec/ { n++; if ($(NF-1) + 0 != 0) bad = 1 } END { if (n == 0) bad = 1; print bad + 0 }')
 if [ "$codec_allocs" != "0" ]; then
 	echo "FAIL: serve codec steady state allocates (see benchmarks above)" >&2
+	exit 1
+fi
+# A whole Session round trip, client and server together: requests are
+# built once in pooled frames and replies handed over without a copy,
+# so what is left is each call's record and reply channel (3 objects a
+# call, 12 of the 17), the duplicate-request cache's record of the
+# APPEND and the LibFS's own allocations. A new per-call allocation on
+# either end of the wire fails here.
+rt_allocs=$(go test -run='^$' -bench='^BenchmarkSessionRoundTrip$' -benchtime=2000x -benchmem ./internal/serve/ \
+	| awk '/^BenchmarkSessionRoundTrip/ { n++; if ($(NF-1) + 0 > 17) bad = 1 } END { if (n == 0) bad = 1; print bad + 0 }')
+if [ "$rt_allocs" != "0" ]; then
+	echo "FAIL: Session round trip exceeds 17 allocs/op (see benchmarks above)" >&2
 	exit 1
 fi
 # The quick run's gate lives in trio-bench itself (see
